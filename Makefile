@@ -84,12 +84,15 @@ serve-bench:
 
 # A short budget on each fuzzed property: detector agreement across
 # the constellation × shape grid (Geosphere, ETH-SD, RVD and — where
-# enumerable — exhaustive ML must agree on every random instance), and
+# enumerable — exhaustive ML must agree on every random instance),
 # projection-stack consistency (cached partial projections must equal
-# from-scratch recomputation to the last ULP on any search walk).
+# from-scratch recomputation to the last ULP on any search walk), and
+# hard-decision Viterbi equivalence (the word-parallel decoder, its
+# scalar oracle and the float path agree on any {-1, 0, 1} input).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDetectAgreement -fuzztime 20s ./internal/core
 	go test -run '^$$' -fuzz FuzzProjectionCache -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz FuzzViterbiHardEquiv -fuzztime 10s ./internal/fec
 
 # The whole module, including the facade's streaming conformance and
 # Receiver-hammering tests; -short skips only the long benchmark-grade

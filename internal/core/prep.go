@@ -34,14 +34,12 @@ const (
 // same matrix object), whereas the exact compare early-outs on the
 // first differing element for genuinely new channels and costs only
 // na·nc equality tests on a hit — far less than one Householder
-// reflection. Epoch counts refills, and Fingerprint exposes an FNV-1a
-// hash of the cached bits for cross-checks in tests and tooling.
+// reflection. Epoch counts refills.
 //
 // A zero PreparedChannel is ready to use. The struct is not safe for
 // concurrent use; the link layer keeps one pool per worker.
 type PreparedChannel struct {
 	hcopy *cmplxmat.Matrix // private copy of the last-prepared channel
-	fp    uint64           // FNV-1a over hcopy's float bits
 	mode  prepMode
 	epoch uint64 // refill count; 0 means never filled
 
@@ -111,12 +109,6 @@ func (pc *PreparedChannel) Updates() uint64 { return pc.updates }
 // zero means it has never held a channel.
 func (pc *PreparedChannel) Epoch() uint64 { return pc.epoch }
 
-// Fingerprint returns the FNV-1a hash over the cached channel's float
-// bits, or zero when the cache is empty. Two refills with the same
-// channel produce the same fingerprint; it identifies cache contents
-// in logs and tests but is never used as the hit criterion.
-func (pc *PreparedChannel) Fingerprint() uint64 { return pc.fp }
-
 // Kappa2 returns the cached diagonal condition estimate κ̂² =
 // max|R[l][l]|²/min|R[l][l]|² of the prepared channel, or zero when the
 // cache is empty. It is computed as a byproduct of the diagonal tables
@@ -185,7 +177,6 @@ func (pc *PreparedChannel) fill(h *cmplxmat.Matrix, mode prepMode) error {
 		pc.hcopy = cmplxmat.New(na, nc)
 	}
 	copy(pc.hcopy.Data, h.Data)
-	pc.fp = fingerprint(pc.hcopy)
 
 	// Build the QR input. The plain mode factorizes the cached copy
 	// directly (same bits as the caller's matrix, so the factors are
@@ -395,7 +386,6 @@ func (pc *PreparedChannel) tryUpdate(h *cmplxmat.Matrix, mode prepMode) bool {
 	}
 
 	copy(pc.hcopy.Data, h.Data)
-	pc.fp = fingerprint(pc.hcopy)
 	if err := pc.rebuildDiagTables(levels); err != nil {
 		// Updated factors went (numerically) rank deficient; hand the
 		// channel to the full path, which overwrites everything anyway.
@@ -467,31 +457,6 @@ func (pc *PreparedChannel) PrepareZF(h *cmplxmat.Matrix) (w *cmplxmat.Matrix, hi
 	copy(pc.zfcopy.Data, h.Data)
 	pc.zfw = w
 	return w, false, nil
-}
-
-// fingerprint hashes a matrix's float bits with FNV-1a.
-//
-//geolint:noalloc
-func fingerprint(m *cmplxmat.Matrix) uint64 {
-	const offset64 = 14695981039346656037
-	h := uint64(offset64)
-	for _, v := range m.Data {
-		h = fnvMix(h, math.Float64bits(real(v)))
-		h = fnvMix(h, math.Float64bits(imag(v)))
-	}
-	return h
-}
-
-// fnvMix folds one 64-bit word into an FNV-1a state byte by byte.
-//
-//geolint:noalloc
-func fnvMix(h, bits uint64) uint64 {
-	const prime64 = 1099511628211
-	for s := 0; s < 64; s += 8 {
-		h ^= (bits >> s) & 0xff
-		h *= prime64
-	}
-	return h
 }
 
 // SharedPreparer is implemented by detectors whose Prepare can attach

@@ -114,10 +114,8 @@ func ViterbiDecodeSoftMetric(llrs []float64) ([]byte, float64, error) {
 type ViterbiWorkspace struct {
 	metrics   []float64
 	next      []float64
-	imetrics  []int32 // integer twin of metrics for the hard-input path
-	inext     []int32
 	survivors []int16  // steps×numStates packed predecessor decisions (float path)
-	survWords []uint64 // one decision bit per state per step (integer path)
+	survWords []uint64 // one decision bit per trellis position per step (hard path)
 	bits      []byte
 }
 
@@ -146,8 +144,8 @@ func (w *ViterbiWorkspace) DecodeSoftMetric(llrs []float64) ([]byte, float64, er
 
 // run is the add-compare-select recursion over soft inputs (2 per
 // trellis step; a value of 0 marks a punctured/erased bit), tracing
-// back from the zero state. It is the single Viterbi implementation —
-// every public decode entry point funnels here.
+// back from the zero state. Every soft-input decode entry point
+// funnels here; hard inputs take the word-parallel runHard.
 //
 //geolint:noalloc
 func (w *ViterbiWorkspace) run(soft []float64) ([]byte, error) {
@@ -222,151 +220,6 @@ func (w *ViterbiWorkspace) run(soft []float64) ([]byte, error) {
 		dec := survivors[t*numStates+state]
 		bits[t] = byte(dec & 1)
 		state = int(dec >> 1)
-	}
-	return bits, nil
-}
-
-// DecodeHardMetric is DecodeSoftMetric specialized to hard-decision
-// inputs: vals holds one correlation value per mother-code bit, +1 for
-// a received 1, −1 for a received 0 and 0 for a punctured/erased
-// position. Because every branch and path metric is then a small exact
-// integer, the recursion runs in int32 arithmetic — the decoded bits
-// and the returned metric are bit-identical to feeding the same values
-// through the float path (every float the soft recursion would form is
-// an exactly-representable integer, and the compare/tie rules are the
-// same), at roughly half the add-compare-select cost.
-//
-//geolint:noalloc
-func (w *ViterbiWorkspace) DecodeHardMetric(vals []int8) ([]byte, float64, error) {
-	if len(vals)%2 != 0 {
-		//geolint:alloc-ok error path
-		return nil, 0, fmt.Errorf("fec: coded length %d is odd", len(vals))
-	}
-	steps := len(vals) / 2
-	if steps < ConstraintLength-1 {
-		//geolint:alloc-ok error path
-		return nil, 0, fmt.Errorf("fec: codeword of %d steps shorter than the tail", steps)
-	}
-	bits, err := w.runInt(vals)
-	if err != nil {
-		return nil, 0, err
-	}
-	return bits[:steps-(ConstraintLength-1)], float64(w.imetrics[0]), nil
-}
-
-// runInt is the integer add-compare-select twin of run. The dead-state
-// bookkeeping differs in one harmless way: run's −MaxFloat64 sentinel
-// absorbs branch terms exactly while the integer sentinel accumulates
-// them, so the two recursions can disagree on the survivor of a state
-// both of whose predecessors are unreachable — and only there. Such
-// states exist only in the first K−2 steps, are never on any path that
-// terminates in state 0, and the traceback therefore never reads them,
-// which is the same argument run itself makes for skipping explicit
-// reachability tracking.
-//
-// Survivors are stored as one decision bit per next state packed into
-// a single uint64 per trellis step (bit ns set ⇔ the odd predecessor
-// won), not the float path's int16-per-state array: the butterfly
-// structure makes predecessor and input recoverable from the next
-// state id alone (prev = 2·(ns mod 32) + bit, input = ns div 32), so
-// the bit is all the traceback needs — and the ACS loop's survivor
-// traffic drops from 128 bytes per step to one word.
-//
-//geolint:noalloc
-func (w *ViterbiWorkspace) runInt(vals []int8) ([]byte, error) {
-	steps := len(vals) / 2
-	// Low enough that every dead path stays far below any live metric
-	// (|branch| ≤ 2 per step), high enough that int32 never wraps for
-	// any codeword short of 2^28 steps.
-	const deadMetric = math.MinInt32 / 4
-	if cap(w.imetrics) < numStates {
-		w.imetrics = make([]int32, numStates) //geolint:alloc-ok first use only
-		w.inext = make([]int32, numStates)    //geolint:alloc-ok first use only
-	}
-	// Fixed-size array views let the compiler prove every state index
-	// in the butterfly loop (2k+1 ≤ 63) and drop its bounds checks.
-	metrics := (*[numStates]int32)(w.imetrics[:numStates])
-	next := (*[numStates]int32)(w.inext[:numStates])
-	if cap(w.survWords) < steps {
-		w.survWords = make([]uint64, steps) //geolint:alloc-ok first use or longer codeword only
-	}
-	survWords := w.survWords[:steps]
-	for s := range metrics {
-		metrics[s] = deadMetric
-	}
-	metrics[0] = 0
-	for t := 0; t < steps; t++ {
-		l0, l1 := int32(vals[2*t]), int32(vals[2*t+1])
-		// Branch metrics for the four output pairs, indexed by the
-		// packed outputs byte: bm[o] = ±l0 ± l1.
-		var bm [4]int32
-		bm[0] = -l0 - l1
-		bm[1] = -l0 + l1
-		bm[2] = l0 - l1
-		bm[3] = l0 + l1
-		var word uint64
-		for k := 0; k < numStates/2; k++ {
-			s0 := 2 * k
-			m0, m1 := metrics[s0], metrics[s0+1]
-			// Both generators have their low tap set (bit 0 of 133 and
-			// 171 octal), so flipping a predecessor's LSB flips both
-			// coded bits: the odd predecessor's branch metric is exactly
-			// −c0, one table lookup per butterfly.
-			c0 := bm[outputs[s0][0]&3]
-			// Input 0 → next state k. The selects below are
-			// branch-free (SETcc/CMOV), which matters: the compare
-			// direction is data-dependent and essentially random.
-			a0, a1 := m0+c0, m1-c0
-			sel := uint64(0)
-			if a1 > a0 {
-				sel = 1
-			}
-			m := a0
-			if a1 > a0 {
-				m = a1
-			}
-			next[k] = m
-			word |= sel << uint(k)
-			// Input 1 → next state k+numStates/2. Both generators also
-			// have the input tap set (bit K−1), so flipping the input
-			// flips both coded bits and the branch metric negates again
-			// — still the same single lookup.
-			b0, b1 := m0-c0, m1+c0
-			sel = 0
-			if b1 > b0 {
-				sel = 1
-			}
-			m = b0
-			if b1 > b0 {
-				m = b1
-			}
-			next[k+numStates/2] = m
-			word |= sel << uint(k+numStates/2)
-		}
-		survWords[t] = word
-		metrics, next = next, metrics
-	}
-	// An odd number of swaps leaves the freshest metrics in w.inext;
-	// realign the fields so callers read the right buffer.
-	if &w.imetrics[0] != &metrics[0] {
-		w.imetrics, w.inext = w.inext, w.imetrics
-	}
-	if cap(w.bits) < steps {
-		w.bits = make([]byte, steps) //geolint:alloc-ok first use or longer codeword only
-	}
-	bits := w.bits[:steps]
-	state := 0
-	// A dead path's metric drifts from the sentinel by at most 2 per
-	// step, so the halfway threshold cleanly separates dead from live
-	// (live metrics are ≥ −2·steps).
-	if metrics[0] < deadMetric/2 {
-		//geolint:alloc-ok error path
-		return nil, fmt.Errorf("fec: trellis did not terminate in the zero state")
-	}
-	for t := steps - 1; t >= 0; t-- {
-		sel := int(survWords[t]>>uint(state)) & 1
-		bits[t] = byte(state >> (ConstraintLength - 2))
-		state = (state&(numStates/2-1))<<1 | sel
 	}
 	return bits, nil
 }

@@ -107,14 +107,24 @@ func Scramble(bits []byte, seed byte) []byte {
 
 // CRC32 computes the IEEE CRC-32 over data bits (one bit per byte) by
 // packing them MSB-first into bytes; ragged tails are zero-padded.
+// Each packed byte goes straight through the IEEE table, so no packed
+// buffer is built: a local one would escape to the heap through
+// crc32.Update's indirect dispatch.
+//
+//geolint:noalloc
 func CRC32(bits []byte) uint32 {
-	packed := make([]byte, (len(bits)+7)/8)
-	for i, b := range bits {
-		if b&1 == 1 {
-			packed[i/8] |= 0x80 >> (i % 8)
+	tab := crc32.IEEETable
+	crc := ^uint32(0)
+	for len(bits) > 0 {
+		n := min(len(bits), 8)
+		var v byte
+		for i, b := range bits[:n] {
+			v |= (b & 1) << (7 - i)
 		}
+		crc = tab[byte(crc)^v] ^ crc>>8
+		bits = bits[n:]
 	}
-	return crc32.ChecksumIEEE(packed)
+	return ^crc
 }
 
 // AppendCRC appends the 32 CRC bits (MSB first) to bits.

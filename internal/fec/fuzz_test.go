@@ -1,6 +1,7 @@
 package fec
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -92,6 +93,44 @@ func FuzzCRC(f *testing.F) {
 		framed[pos] ^= 1
 		if _, ok := CheckCRC(framed); ok {
 			t.Fatalf("single flip at %d undetected", pos)
+		}
+	})
+}
+
+// FuzzViterbiHardEquiv: on arbitrary {−1, 0, 1} inputs the
+// word-parallel hard decoder returns the bits and metric of the scalar
+// oracle and of the float path fed the same values.
+func FuzzViterbiHardEquiv(f *testing.F) {
+	f.Add(make([]byte, 12))
+	f.Add([]byte{0, 2, 1, 1, 0, 2, 2, 0, 1, 0, 0, 0, 2, 2, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		vals := make([]int8, len(data)&^1)
+		llrs := make([]float64, len(vals))
+		for i := range vals {
+			vals[i] = int8(data[i]%3) - 1
+			llrs[i] = float64(vals[i])
+		}
+		var w ViterbiWorkspace
+		hb, hm, err := w.DecodeHardMetric(vals)
+		ob, om, _, oerr := scalarHardDecode(vals)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("hard error %v, oracle error %v", err, oerr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(hb, ob) || hm != float64(om) {
+			t.Fatalf("hard (metric %v) differs from the scalar oracle (metric %d)", hm, om)
+		}
+		sb, sm, err := ViterbiDecodeSoftMetric(llrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hb, sb) || hm != sm {
+			t.Fatalf("hard (metric %v) differs from soft (metric %v)", hm, sm)
 		}
 	})
 }
