@@ -12,12 +12,12 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: check fmt vet lint lint-json staticcheck vulncheck test shuffle equiv bench bench-smoke serve-bench fuzz-smoke race
+.PHONY: check fmt vet lint lint-json staticcheck vulncheck test perfbench-check shuffle equiv bench bench-smoke serve-bench fuzz-smoke race
 
 # Everything the merge gate requires. The detector-equivalence suite
 # runs a second time in shuffled order so an accidental coupling
 # between its grid cells cannot hide behind a fixed execution order.
-check: fmt vet lint test equiv
+check: fmt vet lint test perfbench-check equiv
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -48,6 +48,12 @@ vulncheck:
 
 test:
 	go test ./...
+
+# The benchmark harness (_perfbench, BENCHMARK.json) is a module of its
+# own, so ./... never builds it; vet and test it here, since it drives
+# the link and phy entry points directly.
+perfbench-check:
+	cd _perfbench && go vet ./... && go test -short ./...
 
 # Twice, in random order: catches tests coupled through shared state.
 shuffle:

@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cmplxmat"
 	"repro/internal/constellation"
@@ -24,6 +25,28 @@ import (
 
 // ErrNotPrepared is returned by Detect when no channel has been set.
 var ErrNotPrepared = errors.New("core: detector not prepared with a channel")
+
+// ErrNonFinite is returned by Prepare when the channel holds a NaN or
+// infinite entry: every decision derived from such a channel would be
+// silent garbage.
+var ErrNonFinite = errors.New("core: non-finite channel entry")
+
+// CheckFinite returns an ErrNonFinite error naming the first NaN or
+// infinite entry of h, or nil when every entry is finite. Preparation
+// runs it only on a cache miss, before deriving any state from h, so
+// the hit path costs nothing extra; a rejected channel never enters a
+// cache, so it can never hit either.
+//
+//geolint:noalloc
+func CheckFinite(h *cmplxmat.Matrix) error {
+	for i, v := range h.Data {
+		if math.IsNaN(real(v)) || math.IsInf(real(v), 0) || math.IsNaN(imag(v)) || math.IsInf(imag(v), 0) {
+			//geolint:alloc-ok error path
+			return fmt.Errorf("%w at (%d, %d): %v", ErrNonFinite, i/h.Cols, i%h.Cols, v)
+		}
+	}
+	return nil
+}
 
 // Stats counts the work a detector has performed since the last reset.
 // PEDCalcs is the paper's primary complexity metric (§5.3): the number

@@ -80,6 +80,9 @@ func (d *HybridDetector) Prepare(h *cmplxmat.Matrix) error {
 	if h == nil {
 		return ErrNotPrepared
 	}
+	if err := CheckFinite(h); err != nil {
+		return err
+	}
 	d.Preparations++
 	if h.Cond2() > d.ThresholdKappa {
 		d.SphereSelections++

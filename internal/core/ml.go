@@ -41,6 +41,9 @@ func (d *MLDetector) Prepare(h *cmplxmat.Matrix) error {
 	if h.Rows < h.Cols {
 		return fmt.Errorf("core: ML detector needs na ≥ nc, got %d×%d channel", h.Rows, h.Cols)
 	}
+	if err := CheckFinite(h); err != nil {
+		return err
+	}
 	// Refuse hopeless searches so a misconfigured test fails fast.
 	cost := math.Pow(float64(d.cons.Size()), float64(h.Cols))
 	if cost > 5e7 {

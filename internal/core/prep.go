@@ -399,14 +399,18 @@ func (pc *PreparedChannel) tryUpdate(h *cmplxmat.Matrix, mode prepMode) bool {
 }
 
 // prepare is the shared fast-path/refill sequence every SharedPreparer
-// runs: revalidate the cache against h, absorb a slowly-drifted miss
-// with rank-1 QR updates when the incremental path is enabled, and
-// fall back to a full refill otherwise.
+// runs: revalidate the cache against h, reject a non-finite miss
+// without touching the cache, absorb a slowly-drifted miss with rank-1
+// QR updates when the incremental path is enabled, and fall back to a
+// full refill otherwise.
 //
 //geolint:noalloc
 func (pc *PreparedChannel) prepare(h *cmplxmat.Matrix, mode prepMode) (bool, error) {
 	if pc.matches(h, mode) {
 		return true, nil
+	}
+	if err := CheckFinite(h); err != nil {
+		return false, err
 	}
 	if pc.incremental && pc.tryUpdate(h, mode) {
 		return false, nil
@@ -446,6 +450,9 @@ func (pc *PreparedChannel) PrepareZF(h *cmplxmat.Matrix) (w *cmplxmat.Matrix, hi
 		if same {
 			return pc.zfw, true, nil
 		}
+	}
+	if err := CheckFinite(h); err != nil {
+		return nil, false, err
 	}
 	w, err = h.PseudoInverse()
 	if err != nil {

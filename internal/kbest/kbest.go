@@ -119,6 +119,9 @@ func (d *KBest) Prepare(h *cmplxmat.Matrix) error {
 	if h.Rows < h.Cols {
 		return fmt.Errorf("kbest: need na ≥ nc, got %d×%d channel", h.Rows, h.Cols)
 	}
+	if err := core.CheckFinite(h); err != nil {
+		return err
+	}
 	d.h = h
 	cmplxmat.QRDecomposeInto(&d.ownQR, h)
 	d.qr = &d.ownQR
@@ -531,6 +534,9 @@ func (d *FCSD) Prepare(h *cmplxmat.Matrix) error {
 	}
 	if d.fullLevels > h.Cols {
 		return fmt.Errorf("kbest: fullLevels %d exceeds %d streams", d.fullLevels, h.Cols)
+	}
+	if err := core.CheckFinite(h); err != nil {
+		return err
 	}
 	d.h = h
 	d.qr = cmplxmat.QRDecompose(h)

@@ -40,6 +40,9 @@ func (d *ZF) Prepare(h *cmplxmat.Matrix) error {
 	if h == nil {
 		return core.ErrNotPrepared
 	}
+	if err := core.CheckFinite(h); err != nil {
+		return err
+	}
 	w, err := h.PseudoInverse()
 	if err != nil {
 		return fmt.Errorf("linear: zero-forcing filter: %w", err)
@@ -186,6 +189,9 @@ func mmseFilter(h *cmplxmat.Matrix, noiseVar float64) (*cmplxmat.Matrix, error) 
 func (d *MMSE) Prepare(h *cmplxmat.Matrix) error {
 	if h == nil {
 		return core.ErrNotPrepared
+	}
+	if err := core.CheckFinite(h); err != nil {
+		return err
 	}
 	w, err := mmseFilter(h, d.NoiseVar)
 	if err != nil {

@@ -51,6 +51,9 @@ func (d *MMSESIC) Prepare(h *cmplxmat.Matrix) error {
 	if h == nil {
 		return core.ErrNotPrepared
 	}
+	if err := core.CheckFinite(h); err != nil {
+		return err
+	}
 	na, nc := h.Rows, h.Cols
 	// Column energies determine the SNR ordering.
 	energy := make([]float64, nc)

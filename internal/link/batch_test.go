@@ -120,33 +120,141 @@ func TestProcessBatchEqualsProcess(t *testing.T) {
 	}
 }
 
-// TestProcessBatchFallbackModes pins that the per-frame-perturbation
-// modes (SNR jitter, estimated CSI) take the frame-by-frame fallback
-// and still match Process exactly.
-func TestProcessBatchFallbackModes(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		jitter float64
-		estCSI bool
-	}{{"jitter", 4, false}, {"estcsi", 0, true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := RunConfig{
-				Cons: constellation.QAM16, Rate: fec.Rate12,
-				NumSymbols: 2, Frames: 6,
-				SNRdB: 20, Seed: 43,
-				SNRJitterDB:  mode.jitter,
-				EstimatedCSI: mode.estCSI,
+// TestProcessBatchPerFrameChannels covers the modes that give every
+// frame its own channel set inside a batch — SNR jitter, estimated
+// CSI, both — for every TestFramePathGolden configuration using them:
+// at every batch size the per-frame Res must equal batch size 1's and
+// the run-level Stats sum must match, and batch size 1 must reproduce
+// the golden digest.
+func TestProcessBatchPerFrameChannels(t *testing.T) {
+	fis := make([]int64, framePathFrames)
+	for i := range fis {
+		fis[i] = int64(i)
+	}
+	for _, c := range framePathCases() {
+		if c.cfg.SNRJitterDB <= 0 && !c.cfg.EstimatedCSI {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			hs := framePathChannels(t, c)
+			ref := runFramesBatched(t, c.cfg, c.factory, hs, fis, 1)
+			if got := framePathDigest(ref); got != framePathGolden[c.name] {
+				t.Fatalf("batch=1 digest %#x, want golden %#x", got, framePathGolden[c.name])
 			}
-			hs := batchChannels(17, 4, 2)
-			fis := []int64{0, 1, 2, 3, 4, 5}
-			ref := runFramesSingle(t, cfg, GeoFactoryForTest, hs, fis)
-			got := runFramesBatched(t, cfg, GeoFactoryForTest, hs, fis, 3)
-			for i := range ref {
-				if !reflect.DeepEqual(ref[i].Res, got[i].Res) {
-					t.Fatalf("frame %d diverged:\n  single: %+v\n  batch:  %+v", i, ref[i].Res, got[i].Res)
+			var refStats core.Stats
+			for _, o := range ref {
+				refStats.Add(o.Stats)
+			}
+			for _, bs := range []int{2, 3, 7} {
+				got := runFramesBatched(t, c.cfg, c.factory, hs, fis, bs)
+				var stats core.Stats
+				for i, o := range got {
+					if o.Err != nil {
+						t.Fatalf("batch=%d frame %d: %v", bs, i, o.Err)
+					}
+					if !reflect.DeepEqual(o.Res, ref[i].Res) {
+						t.Fatalf("batch=%d frame %d diverged:\n  single: %+v\n  batch:  %+v", bs, i, ref[i].Res, o.Res)
+					}
+					stats.Add(o.Stats)
+				}
+				if stats != refStats {
+					t.Fatalf("batch=%d stats sum %+v, want %+v", bs, stats, refStats)
 				}
 			}
 		})
+	}
+}
+
+// TestPrepareProbeAccounting pins what a frame costs the preparation
+// cache: one probe per subcarrier per distinct channel, however many
+// OFDM symbols share it.
+func TestPrepareProbeAccounting(t *testing.T) {
+	const sc = ofdm.NumData
+	base := RunConfig{
+		Cons: constellation.QAM16, Rate: fec.Rate12,
+		NumSymbols: 2, SNRdB: 24, Seed: 5,
+	}
+	hs := batchChannels(8, 4, 2)
+	rig := func(cfg RunConfig) (*Processor, core.Detector, *core.PrepPool) {
+		proc, err := NewProcessor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proc, core.NewGeosphere(cfg.Cons), core.NewPrepPool(sc)
+	}
+	check := func(what string, pool *core.PrepPool, hits, misses uint64) {
+		t.Helper()
+		if h, m := pool.Counters(); h != hits || m != misses {
+			t.Errorf("%s: %d hits / %d misses, want %d / %d", what, h, m, hits, misses)
+		}
+	}
+
+	// Static single frames: the cold frame misses once per subcarrier,
+	// every later frame hits once per subcarrier — not once per symbol.
+	proc, det, pool := rig(base)
+	for fi := int64(0); fi < 3; fi++ {
+		if out := proc.Process(Work{Frame: fi, Channels: hs, Det: det, Pool: pool}); out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		check(fmt.Sprintf("static frame %d", fi), pool, uint64(fi)*sc, sc)
+	}
+	// A static batch probes each subcarrier once for all its frames.
+	proc.ProcessBatch(nil, BatchWork{Frames: []int64{3, 4, 5}, Channels: hs, Det: det, Pool: pool})
+	check("static batch", pool, 3*sc, sc)
+
+	// Per-frame channels (jitter, estimated CSI) re-prepare once per
+	// (frame, subcarrier): a batch of 3 is 3×48 misses and no hits.
+	for _, mode := range conformanceModes[1:] {
+		cfg := base
+		cfg.SNRJitterDB, cfg.EstimatedCSI = mode.jitter, mode.estCSI
+		proc, det, pool := rig(cfg)
+		for i, o := range proc.ProcessBatch(nil, BatchWork{Frames: []int64{0, 1, 2}, Channels: hs, Det: det, Pool: pool}) {
+			if o.Err != nil {
+				t.Fatalf("%s frame %d: %v", mode.name, i, o.Err)
+			}
+		}
+		check(mode.name+" batch", pool, 0, 3*sc)
+	}
+}
+
+// TestProcessWarmAllocs pins warm Processor.Process allocations
+// at their level from before Process became a batch of one: the
+// wrapper runs from Processor and Link scratch, so a frame allocates
+// only what it keeps or draws (its substream, encoded frame, Result,
+// and under jitter or estimated CSI its per-frame channel copies).
+func TestProcessWarmAllocs(t *testing.T) {
+	limits := map[string]float64{"plain": 11, "jitter": 109, "estcsi": 108, "jitter+estcsi": 206}
+	for _, mode := range conformanceModes {
+		for _, pooled := range []bool{true, false} {
+			cfg := RunConfig{
+				Cons: constellation.QAM16, Rate: fec.Rate12,
+				NumSymbols: 2, SNRdB: 30, Seed: 7,
+				SNRJitterDB: mode.jitter, EstimatedCSI: mode.estCSI,
+			}
+			proc, err := NewProcessor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det := core.NewGeosphere(cfg.Cons)
+			var pool *core.PrepPool
+			if pooled {
+				pool = core.NewPrepPool(ofdm.NumData)
+			}
+			hs := batchChannels(3, 4, 2)
+			fi := int64(0)
+			run := func() {
+				if out := proc.Process(Work{Frame: fi, Channels: hs, Det: det, Pool: pool}); out.Err != nil {
+					t.Fatal(out.Err)
+				}
+				fi++
+			}
+			for i := 0; i < 5; i++ {
+				run()
+			}
+			if got := testing.AllocsPerRun(50, run); got > limits[mode.name] {
+				t.Errorf("%s pooled=%v: %v allocs per frame, want ≤ %v", mode.name, pooled, got, limits[mode.name])
+			}
+		}
 	}
 }
 
@@ -189,9 +297,9 @@ func TestProcessBatchStatsAndSamples(t *testing.T) {
 	if snap.Frames.Frames != 4 {
 		t.Errorf("recorder saw %d frames, want 4", snap.Frames.Frames)
 	}
-	// One preparation per subcarrier for the whole batch: every probe
-	// after the 48 misses is a hit, and hits+misses is far below the
-	// per-frame path's 4 frames × 2 symbols × 48 probes.
+	// One preparation per subcarrier for the whole batch: 48 cold
+	// misses and no further probe, where running the 4 frames one at a
+	// time would probe 4 × 48 times.
 	probes := snap.Frames.PrepareHits + snap.Frames.PrepareMisses
 	if snap.Frames.PrepareMisses != int64(ofdm.NumData) {
 		t.Errorf("prepare misses = %d, want %d (one per subcarrier)", snap.Frames.PrepareMisses, ofdm.NumData)

@@ -41,7 +41,7 @@ type Work struct {
 	Worker int
 	// Tier labels the obs.FrameSample with the degradation-ladder tier
 	// that served the frame; obs.TierNone for pipelines outside the
-	// ladder (the batch path).
+	// ladder.
 	Tier obs.Tier
 	// Channels holds one na×nc matrix per data subcarrier.
 	Channels []*cmplxmat.Matrix
@@ -55,7 +55,7 @@ type Work struct {
 
 // Processor is one worker's frame pipeline: a phy.Link with its
 // receive/decode scratch plus the run configuration, turning (frame
-// index, channels, detector) into a FrameOutcome. It owns mutable
+// indices, channels, detector) into FrameOutcomes. It owns mutable
 // scratch, so it is not safe for concurrent use — the Session keeps
 // one Processor per worker, and the serve layer one per shard.
 type Processor struct {
@@ -65,10 +65,20 @@ type Processor struct {
 	// kappa is borrowed scratch for the per-frame κ̂² observability
 	// sample (reused across frames, only valid during RecordFrame).
 	kappa []float64
+	// ProcessBatch's physical-layer arguments, reused across batches:
+	// the frames that encoded cleanly, their sources and channel sets,
+	// and each one's position in the batch.
+	srcs          []*rng.Source
+	frames        []*phy.Frame
+	hsTrue, hsDet [][]*cmplxmat.Matrix
+	at            []int
+	// one and outs carry Process's batch of one.
+	one  [1]int64
+	outs []FrameOutcome
 }
 
 // schedCounters is the adaptive scheduler's counter surface
-// (implemented by policy.Detector); Process attributes per-frame
+// (implemented by policy.Detector); ProcessBatch attributes per-batch
 // deltas through it without caring about the concrete detector.
 type schedCounters interface {
 	Sched() policy.Counters
@@ -92,102 +102,16 @@ func NewProcessor(cfg RunConfig) (*Processor, error) {
 func (p *Processor) NoiseVar() float64 { return p.noiseVar }
 
 // Process pushes one frame through jitter → encode → (estimate) →
-// transmit/detect/decode. All randomness comes from the frame's own
+// transmit/detect/decode: ProcessBatch over a batch of one, run from
+// the Processor's scratch. All randomness comes from the frame's own
 // substream, and the detector — whether fresh or persistent with its
 // preparation cache — produces bit-identical decisions for a given
 // (cfg, Frame, Channels), so the outcome never depends on which worker
-// ran it or when. The worker id and tier only label the frame's
-// observability sample, as do the preparation-cache counters.
+// ran it or when.
 func (p *Processor) Process(w Work) FrameOutcome {
-	cfg := p.cfg
-	start := time.Now() //geolint:nondeterminism-ok wall-clock duration only labels the observability sample
-	if len(w.Channels) == 0 || w.Channels[0] == nil {
-		return FrameOutcome{Err: fmt.Errorf("%w: frame %d has no channels", ErrBadShape, w.Frame)}
-	}
-	nc := w.Channels[0].Cols
-	fsrc := rng.Substream(cfg.Seed, w.Frame)
-	det := w.Det
-	p.l.SetPrepPool(w.Pool)
-	// Persistent detectors carry counters over from earlier frames, so
-	// this frame's share is the snapshot delta (zero-based for fresh
-	// detectors, where the snapshot is zero).
-	before, _ := core.StatsOf(det)
-	var hitsBefore, missesBefore, updatesBefore uint64
-	if w.Pool != nil {
-		hitsBefore, missesBefore = w.Pool.Counters()
-		updatesBefore = w.Pool.QRUpdates()
-	}
-	var schedBefore policy.Counters
-	sched, adaptive := det.(schedCounters)
-	if adaptive {
-		schedBefore = sched.Sched()
-	}
-	hs := w.Channels
-	if cfg.SNRJitterDB > 0 {
-		hs = jitterClients(fsrc, hs, cfg.SNRJitterDB)
-	}
-	f, err := p.l.Encode(fsrc, nc)
-	if err != nil {
-		return FrameOutcome{Err: err}
-	}
-	hsDet := hs
-	if cfg.EstimatedCSI {
-		hsDet, err = phy.EstimateChannels(fsrc, hs, p.noiseVar, cfg.trainingReps())
-		if err != nil {
-			return FrameOutcome{Err: err}
-		}
-	}
-	res, err := p.l.TransmitReceiveCSI(fsrc, f, hs, hsDet, det, p.noiseVar)
-	if err != nil {
-		return FrameOutcome{Err: err}
-	}
-	out := FrameOutcome{Res: res}
-	after, _ := core.StatsOf(det)
-	out.Stats = after.Sub(before)
-	if cfg.Recorder != nil {
-		errs := 0
-		for _, ok := range res.StreamOK {
-			if !ok {
-				errs++
-			}
-		}
-		var prepHits, prepMisses, qrUpdates uint64
-		if w.Pool != nil {
-			h, m := w.Pool.Counters()
-			prepHits, prepMisses = h-hitsBefore, m-missesBefore
-			qrUpdates = w.Pool.QRUpdates() - updatesBefore
-		}
-		fs := obs.FrameSample{
-			Frame:  int(w.Frame),
-			Worker: w.Worker,
-			Tier:   w.Tier,
-			//geolint:nondeterminism-ok wall-clock duration only labels the observability sample
-			Duration:     time.Since(start),
-			OK:           res.FrameOK(),
-			Streams:      len(res.StreamOK),
-			StreamErrors: errs,
-			PrepHits:     prepHits,
-			PrepMisses:   prepMisses,
-			ProjReuse:    out.Stats.ProjReuse,
-			QRUpdates:    qrUpdates,
-		}
-		if adaptive {
-			d := sched.Sched().Sub(schedBefore)
-			fs.SchedZF = d.SchedZF
-			fs.SchedKBest = d.SchedKBest
-			fs.SchedSphere = d.SchedSphere
-			fs.GatePass = d.GatePass
-			fs.KBestFallbacks = d.KBestFallbacks
-			fs.SphereFallbacks = d.SphereFallbacks
-			fs.SeededRadius = d.SeededRadius
-			if w.Pool != nil {
-				p.kappa = w.Pool.AppendKappa2dB(p.kappa[:0])
-				fs.Kappa2dB = p.kappa
-			}
-		}
-		cfg.Recorder.RecordFrame(fs)
-	}
-	return out
+	p.one[0] = w.Frame
+	p.outs = p.ProcessBatch(p.outs, BatchWork{Frames: p.one[:], Worker: w.Worker, Tier: w.Tier, Channels: w.Channels, Det: w.Det, Pool: w.Pool})
+	return p.outs[0]
 }
 
 // BatchWork describes a batch of frames for Processor.ProcessBatch:
@@ -206,40 +130,39 @@ type BatchWork struct {
 	Pool     *core.PrepPool
 }
 
-// ProcessBatch runs a batch of frames sharing one prepared channel
-// set, appending one FrameOutcome per frame (in Frames order) to dst
-// and returning it. Per-frame Res and Err are byte-identical to
-// calling Process once per frame — every frame encodes and transmits
-// from its own substream, and detection decisions are pure functions
-// of (prepared state, observation) — only the attribution of batch-
-// amortized observability (detector Stats deltas, preparation-cache
-// counters, scheduler counters) changes: those are measured across the
-// whole batch and folded into the first outcome/sample, so sums over a
-// run stay exact while per-frame shares are no longer split out.
-//
-// Configurations that perturb channels per frame (SNR jitter,
-// estimated CSI) break the shared-preparation premise and fall back to
-// the frame-by-frame path, as does a batch of one.
+// ProcessBatch runs a batch of frames, appending one FrameOutcome per
+// frame (in Frames order) to dst[:0] and returning it. Each frame first
+// does its own substream work in the single-frame draw order — SNR
+// jitter of its channel copy, Encode, then channel estimation — and the
+// batch then goes through phy's one transmit/detect/decode sweep, which
+// prepares each subcarrier once per distinct channel: once per batch on
+// a shared channel, once per frame under jitter or estimated CSI. A
+// failure fails only its own frame. Per-frame Res and Err therefore
+// depend only on (cfg, frame index, Channels), never on the batch
+// layout; only the attribution of batch-amortized observability
+// (detector Stats deltas, preparation-cache counters, scheduler
+// counters) depends on it: those are measured across the whole batch
+// and folded into the first outcome/sample, so sums over a run stay
+// exact while per-frame shares are no longer split out.
 func (p *Processor) ProcessBatch(dst []FrameOutcome, w BatchWork) []FrameOutcome {
 	cfg := p.cfg
 	dst = dst[:0]
 	if len(w.Frames) == 0 {
 		return dst
 	}
-	if len(w.Frames) == 1 || cfg.EstimatedCSI || cfg.SNRJitterDB > 0 {
-		return p.processSingly(dst, w)
-	}
 	start := time.Now() //geolint:nondeterminism-ok wall-clock duration only labels the observability samples
 	if len(w.Channels) == 0 || w.Channels[0] == nil {
-		err := fmt.Errorf("%w: batch has no channels", ErrBadShape)
-		for range w.Frames {
-			dst = append(dst, FrameOutcome{Err: err})
+		for _, fi := range w.Frames {
+			dst = append(dst, FrameOutcome{Err: fmt.Errorf("%w: frame %d has no channels", ErrBadShape, fi)})
 		}
 		return dst
 	}
 	nc := w.Channels[0].Cols
 	det := w.Det
 	p.l.SetPrepPool(w.Pool)
+	// Persistent detectors carry counters over from earlier batches, so
+	// this batch's share is the snapshot delta (zero-based for fresh
+	// detectors, where the snapshot is zero).
 	before, _ := core.StatsOf(det)
 	var hitsBefore, missesBefore, updatesBefore uint64
 	if w.Pool != nil {
@@ -251,97 +174,96 @@ func (p *Processor) ProcessBatch(dst []FrameOutcome, w BatchWork) []FrameOutcome
 	if adaptive {
 		schedBefore = sched.Sched()
 	}
-	srcs := make([]*rng.Source, len(w.Frames))
-	frames := make([]*phy.Frame, len(w.Frames))
+	p.srcs, p.frames, p.hsTrue, p.hsDet, p.at = p.srcs[:0], p.frames[:0], p.hsTrue[:0], p.hsDet[:0], p.at[:0]
 	for i, fi := range w.Frames {
-		srcs[i] = rng.Substream(cfg.Seed, fi)
-		f, err := p.l.Encode(srcs[i], nc)
-		if err != nil {
-			// Encode failures are configuration-level; re-run the batch
-			// frame-by-frame so every frame reports its own error.
-			return p.processSingly(dst, w)
+		dst = append(dst, FrameOutcome{})
+		src := rng.Substream(cfg.Seed, fi)
+		hs := w.Channels
+		if cfg.SNRJitterDB > 0 {
+			hs = jitterClients(src, hs, cfg.SNRJitterDB)
 		}
-		frames[i] = f
+		f, err := p.l.Encode(src, nc)
+		hsDet := hs
+		if err == nil && cfg.EstimatedCSI {
+			hsDet, err = phy.EstimateChannels(src, hs, p.noiseVar, cfg.trainingReps())
+		}
+		if err != nil {
+			dst[i].Err = err
+			continue
+		}
+		p.srcs, p.frames = append(p.srcs, src), append(p.frames, f)
+		p.hsTrue, p.hsDet = append(p.hsTrue, hs), append(p.hsDet, hsDet)
+		p.at = append(p.at, i)
 	}
-	res, err := p.l.TransmitReceiveBatchCSI(srcs, frames, w.Channels, w.Channels, det, p.noiseVar)
-	if err != nil {
-		return p.processSingly(dst, w)
+	res, errs := p.l.TransmitReceiveBatchCSI(p.srcs, p.frames, p.hsTrue, p.hsDet, det, p.noiseVar)
+	for j, i := range p.at {
+		dst[i].Res, dst[i].Err = res[j], errs[j]
 	}
 	after, _ := core.StatsOf(det)
+	// The detector's complexity delta spans the whole batch; attribute
+	// it to the first outcome so run-level sums over outcomes stay exact.
 	batchStats := after.Sub(before)
-	for i := range w.Frames {
-		o := FrameOutcome{Res: res[i]}
-		if i == 0 {
-			// The detector's complexity delta spans the whole batch;
-			// attribute it to the first outcome so run-level sums over
-			// outcomes stay exact.
-			o.Stats = batchStats
-		}
-		dst = append(dst, o)
+	dst[0].Stats = batchStats
+	if cfg.Recorder == nil {
+		return dst
 	}
-	if cfg.Recorder != nil {
-		//geolint:nondeterminism-ok wall-clock duration only labels the observability samples
-		dur := time.Since(start) / time.Duration(len(w.Frames))
-		var prepHits, prepMisses, qrUpdates uint64
-		if w.Pool != nil {
-			h, m := w.Pool.Counters()
-			prepHits, prepMisses = h-hitsBefore, m-missesBefore
-			qrUpdates = w.Pool.QRUpdates() - updatesBefore
+	//geolint:nondeterminism-ok wall-clock duration only labels the observability samples
+	dur := time.Since(start) / time.Duration(len(w.Frames))
+	var prepHits, prepMisses, qrUpdates uint64
+	if w.Pool != nil {
+		h, m := w.Pool.Counters()
+		prepHits, prepMisses = h-hitsBefore, m-missesBefore
+		qrUpdates = w.Pool.QRUpdates() - updatesBefore
+	}
+	var schedDelta policy.Counters
+	if adaptive {
+		schedDelta = sched.Sched().Sub(schedBefore)
+	}
+	folded := false
+	for i, fi := range w.Frames {
+		r := dst[i].Res
+		if r == nil {
+			continue
 		}
-		var schedDelta policy.Counters
-		if adaptive {
-			schedDelta = sched.Sched().Sub(schedBefore)
+		streamErrs := 0
+		for _, ok := range r.StreamOK {
+			if !ok {
+				streamErrs++
+			}
 		}
-		for i, fi := range w.Frames {
-			r := res[i]
-			errs := 0
-			for _, ok := range r.StreamOK {
-				if !ok {
-					errs++
+		fs := obs.FrameSample{
+			Frame:        int(fi),
+			Worker:       w.Worker,
+			Tier:         w.Tier,
+			Duration:     dur,
+			Batch:        len(w.Frames),
+			OK:           r.FrameOK(),
+			Streams:      len(r.StreamOK),
+			StreamErrors: streamErrs,
+		}
+		if !folded {
+			// Batch-amortized counters are measured once per batch; fold
+			// them into the first recorded sample so run-level sums stay
+			// exact.
+			folded = true
+			fs.PrepHits, fs.PrepMisses = prepHits, prepMisses
+			fs.ProjReuse = batchStats.ProjReuse
+			fs.QRUpdates = qrUpdates
+			if adaptive {
+				fs.SchedZF = schedDelta.SchedZF
+				fs.SchedKBest = schedDelta.SchedKBest
+				fs.SchedSphere = schedDelta.SchedSphere
+				fs.GatePass = schedDelta.GatePass
+				fs.KBestFallbacks = schedDelta.KBestFallbacks
+				fs.SphereFallbacks = schedDelta.SphereFallbacks
+				fs.SeededRadius = schedDelta.SeededRadius
+				if w.Pool != nil {
+					p.kappa = w.Pool.AppendKappa2dB(p.kappa[:0])
+					fs.Kappa2dB = p.kappa
 				}
 			}
-			fs := obs.FrameSample{
-				Frame:        int(fi),
-				Worker:       w.Worker,
-				Tier:         w.Tier,
-				Duration:     dur,
-				Batch:        len(w.Frames),
-				OK:           r.FrameOK(),
-				Streams:      len(r.StreamOK),
-				StreamErrors: errs,
-			}
-			if i == 0 {
-				// Batch-amortized counters are measured once per batch;
-				// fold them into the first sample so run-level sums stay
-				// exact.
-				fs.PrepHits, fs.PrepMisses = prepHits, prepMisses
-				fs.ProjReuse = batchStats.ProjReuse
-				fs.QRUpdates = qrUpdates
-				if adaptive {
-					fs.SchedZF = schedDelta.SchedZF
-					fs.SchedKBest = schedDelta.SchedKBest
-					fs.SchedSphere = schedDelta.SchedSphere
-					fs.GatePass = schedDelta.GatePass
-					fs.KBestFallbacks = schedDelta.KBestFallbacks
-					fs.SphereFallbacks = schedDelta.SphereFallbacks
-					fs.SeededRadius = schedDelta.SeededRadius
-					if w.Pool != nil {
-						p.kappa = w.Pool.AppendKappa2dB(p.kappa[:0])
-						fs.Kappa2dB = p.kappa
-					}
-				}
-			}
-			cfg.Recorder.RecordFrame(fs)
 		}
-	}
-	return dst
-}
-
-// processSingly is ProcessBatch's frame-by-frame path: the batch run
-// through Process one frame at a time, in order.
-func (p *Processor) processSingly(dst []FrameOutcome, w BatchWork) []FrameOutcome {
-	for _, fi := range w.Frames {
-		dst = append(dst, p.Process(Work{Frame: fi, Worker: w.Worker, Tier: w.Tier, Channels: w.Channels, Det: w.Det, Pool: w.Pool}))
+		cfg.Recorder.RecordFrame(fs)
 	}
 	return dst
 }

@@ -108,8 +108,8 @@ type FrameSample struct {
 	// served in a batch it is the batch duration divided by the batch
 	// size — per-frame shares of a fused sweep are not separable.
 	Duration time.Duration
-	// Batch is the size of the micro-batch the frame was served in;
-	// 0 or 1 both mean the frame ran through the single-frame path.
+	// Batch is the size of the batch the frame was processed in; 1 for
+	// a frame processed alone.
 	Batch int
 	// OK reports whether every stream's CRC verified.
 	OK bool

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/cmplxmat"
 	"repro/internal/constellation"
 	"repro/internal/core"
 	"repro/internal/fec"
@@ -93,7 +94,11 @@ func TestEstimatedCSIFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := core.NewGeosphere(cfg.Cons)
-	res, err := link.TransmitReceiveCSI(src, f, hs, est, det, nv)
+	one := func(hsDet []*cmplxmat.Matrix) (*Result, error) {
+		res, errs := link.TransmitReceiveBatchCSI([]*rng.Source{src}, []*Frame{f}, [][]*cmplxmat.Matrix{hs}, [][]*cmplxmat.Matrix{hsDet}, det, nv)
+		return res[0], errs[0]
+	}
+	res, err := one(est)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +106,7 @@ func TestEstimatedCSIFrame(t *testing.T) {
 		t.Fatalf("estimated-CSI frame at 25 dB failed: %+v", res)
 	}
 	// Mismatched shapes must be rejected.
-	if _, err := link.TransmitReceiveCSI(src, f, hs, perSCChannels(src, 4, 3), det, nv); err == nil {
+	if _, err := one(perSCChannels(src, 4, 3)); err == nil {
 		t.Fatal("CSI shape mismatch accepted")
 	}
 }

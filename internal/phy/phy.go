@@ -11,6 +11,7 @@
 package phy
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/channel"
@@ -114,6 +115,16 @@ type Link struct {
 	rx  receiveScratch
 	dec decodeScratch
 	enc encodeScratch
+	one batchOfOne
+}
+
+// batchOfOne holds the one-element argument slices TransmitReceive
+// hands to TransmitReceiveBatchCSI, so the wrapper allocates nothing.
+// It is cleared after each call so the link retains no frame.
+type batchOfOne struct {
+	src   [1]*rng.Source
+	frame [1]*Frame
+	hs    [1][]*cmplxmat.Matrix
 }
 
 // encodeScratch holds the per-stream encode buffers Encode reuses
@@ -130,17 +141,17 @@ type encodeScratch struct {
 	bitbuf []byte
 }
 
-// receiveScratch holds the per-frame detector output buffers
-// TransmitReceiveCSI reuses across frames of identical geometry. yb is
-// the structure-of-arrays received-signal buffer: one flat slice
-// holding every (symbol, subcarrier) observation contiguously in
-// symbol-major order, yb[(t·NumData+s)·na : +na], so the batched
-// detection pass walks one OFDM symbol's 48 subcarriers as a single
-// sequential sweep.
+// receiveScratch holds the buffers TransmitReceiveBatchCSI reuses
+// across batches of identical geometry: the detector outputs, the
+// per-frame result and error slots, and yb, the structure-of-arrays
+// received-signal buffer — one flat slice holding every (frame row,
+// subcarrier) observation at yb[(row·NumData+s)·na : +na].
 type receiveScratch struct {
-	detIdx [][][]int
-	detLLR [][][]float64
-	yb     []complex128
+	detIdx  [][][]int
+	detLLR  [][][]float64
+	yb      []complex128
+	results []*Result
+	errs    []error
 }
 
 // decodeScratch holds the per-stream decode buffers, sized once on
@@ -174,7 +185,7 @@ func NewLink(cfg Config) (*Link, error) {
 func (l *Link) Config() Config { return l.cfg }
 
 // SetPrepPool attaches a per-subcarrier preparation cache: subsequent
-// TransmitReceiveCSI calls prepare the detector through pool (slot =
+// transmit/receive calls prepare the detector through pool (slot =
 // data-subcarrier index), so an unchanged channel skips its QR. A nil
 // pool restores the direct det.Prepare path.
 func (l *Link) SetPrepPool(pool *core.PrepPool) { l.prep = pool }
@@ -287,229 +298,179 @@ func (r Result) FrameOK() bool {
 //
 // The detector is Prepared once per subcarrier and reused across the
 // frame's OFDM symbols, matching how a real receiver amortizes QR
-// decompositions over a channel coherence time.
+// decompositions over a channel coherence time. It is
+// TransmitReceiveBatchCSI over a batch of one, run from link-owned
+// scratch so the wrapper allocates nothing of its own.
 func (l *Link) TransmitReceive(src *rng.Source, f *Frame, hs []*cmplxmat.Matrix, det core.Detector, noiseVar float64) (*Result, error) {
-	return l.TransmitReceiveCSI(src, f, hs, hs, det, noiseVar)
+	one := &l.one
+	one.src[0], one.frame[0], one.hs[0] = src, f, hs
+	res, errs := l.TransmitReceiveBatchCSI(one.src[:], one.frame[:], one.hs[:], one.hs[:], det, noiseVar)
+	*one = batchOfOne{}
+	return res[0], errs[0]
 }
 
-// TransmitReceiveCSI is TransmitReceive with separate channel
-// knowledge: the signal propagates through hsTrue while the detector
-// is prepared on hsDet (e.g. a noisy preamble-based estimate from
-// EstimateChannels).
-func (l *Link) TransmitReceiveCSI(src *rng.Source, f *Frame, hsTrue, hsDet []*cmplxmat.Matrix, det core.Detector, noiseVar float64) (*Result, error) {
-	cfg := l.cfg
-	hs := hsTrue
-	if len(hs) != ofdm.NumData || len(hsDet) != ofdm.NumData {
-		return nil, fmt.Errorf("phy: %d/%d subcarrier channels, want %d", len(hs), len(hsDet), ofdm.NumData)
-	}
-	nc := len(f.Payloads)
-	na := hs[0].Rows
-	if hs[0].Cols != nc {
-		return nil, fmt.Errorf("phy: channel has %d streams, frame has %d", hs[0].Cols, nc)
-	}
-	var soft core.SoftDetector
-	if cfg.SoftDecoding {
-		sd, ok := det.(core.SoftDetector)
-		if !ok {
-			return nil, fmt.Errorf("phy: soft decoding requires a SoftDetector, %s is not one", det.Name())
-		}
-		if noiseVar <= 0 {
-			return nil, fmt.Errorf("phy: soft decoding needs a positive noise variance")
-		}
-		soft = sd
-	}
-	// detIdx[t][s] holds the detected point indices; detLLR the
-	// per-bit soft values when soft decoding is on. Both live in
-	// link-owned scratch reused across frames of the same geometry.
-	detIdx, detLLR, yb := l.sizeReceive(cfg.NumSymbols, nc, na, soft != nil)
-	res := &Result{StreamOK: make([]bool, nc)}
-	for s := 0; s < ofdm.NumData; s++ {
-		if hsDet[s].Rows != na || hsDet[s].Cols != nc {
-			return nil, fmt.Errorf("phy: CSI shape mismatch at subcarrier %d", s)
-		}
-	}
-	// Transmit every (subcarrier, symbol) observation into the flat SoA
-	// buffer. The loop nest is subcarrier-major so the noise draw
-	// schedule — and with it every golden measurement — is independent
-	// of how the detection pass below is ordered.
-	for s := 0; s < ofdm.NumData; s++ {
-		for t := 0; t < cfg.NumSymbols; t++ {
-			at := (t*ofdm.NumData + s) * na
-			channel.Transmit(yb[at:at+na], src, hs[s], f.X[t][s], noiseVar)
-		}
-	}
-	if l.prep != nil {
-		// Batched detection: walk all data subcarriers of one OFDM
-		// symbol as a single sequential sweep over the SoA buffer — the
-		// order the observations arrive in a real receiver. Switching
-		// subcarrier per detection re-prepares through the cache, where
-		// it is a pure hit after each subcarrier's first symbol.
-		for t := 0; t < cfg.NumSymbols; t++ {
-			row := yb[t*ofdm.NumData*na:]
-			for s := 0; s < ofdm.NumData; s++ {
-				if err := l.prepareDetector(det, s, hsDet[s]); err != nil {
-					return nil, fmt.Errorf("phy: prepare subcarrier %d: %w", s, err)
-				}
-				if err := l.detectOne(det, soft, f, res, detIdx, detLLR, row[s*na:(s+1)*na], t, s, nc, noiseVar); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		// Without a preparation cache a subcarrier switch costs a full
-		// factorization, so keep the subcarrier-major order that
-		// prepares each channel exactly once.
-		for s := 0; s < ofdm.NumData; s++ {
-			if err := l.prepareDetector(det, s, hsDet[s]); err != nil {
-				return nil, fmt.Errorf("phy: prepare subcarrier %d: %w", s, err)
-			}
-			for t := 0; t < cfg.NumSymbols; t++ {
-				at := (t*ofdm.NumData + s) * na
-				if err := l.detectOne(det, soft, f, res, detIdx, detLLR, yb[at:at+na], t, s, nc, noiseVar); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Per-stream decoding.
-	for k := 0; k < nc; k++ {
-		var ok bool
-		var metric float64
-		var err error
-		if soft != nil {
-			ok, metric, err = l.decodeStreamSoft(f, detLLR, k, byte(0x5d+k))
-		} else {
-			ok, metric, err = l.decodeStream(f, detIdx, k, byte(0x5d+k))
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.StreamOK[k] = ok
-		if cfg.Recorder != nil {
-			cfg.Recorder.RecordDecode(obs.DecodeSample{Stream: k, PathMetric: metric, OK: ok})
-		}
-	}
-	return res, nil
-}
-
-// TransmitReceiveBatchCSI runs a batch of frames that share one
-// per-subcarrier channel set through transmit → detect → decode,
-// producing per-frame Results byte-identical to calling
-// TransmitReceiveCSI once per frame. Two things change, neither of
-// which can alter a decision:
+// TransmitReceiveBatchCSI runs a batch of frames through transmit →
+// detect → decode. Frame f propagates through hsTrue[f] while the
+// detector is prepared on hsDet[f] (e.g. a noisy preamble-based
+// estimate from EstimateChannels; pass the same sets for perfect
+// channel knowledge). It returns one Result and one error per frame;
+// a frame that fails has a nil Result and its own error, and the other
+// frames complete. Both slices alias link scratch and are valid until
+// the next call.
 //
-//   - Transmission still runs frame-by-frame in the single-frame
-//     subcarrier-major order, each frame drawing noise from its own
-//     source, so every frame's noise schedule is exactly the
-//     single-frame schedule.
-//   - Detection extends the symbol-major SoA sweep across the whole
-//     batch: each subcarrier's detector preparation happens once per
-//     batch instead of once per (frame, symbol), and then every frame's
-//     observations on that subcarrier are swept in one pass. A
+// Every frame's Result is byte-identical to running it alone:
+//
+//   - Transmission runs frame by frame in subcarrier-major order, each
+//     frame drawing noise from its own source, so every frame's noise
+//     schedule is exactly its single-frame schedule.
+//   - Detection is subcarrier-major across the whole batch. On each
+//     subcarrier the detector is re-prepared only when a frame's
+//     channel differs from the previous frame's (pointer compare), so
+//     a batch sharing one channel set prepares once per subcarrier and
+//     a batch of per-frame channels once per (frame, subcarrier); every
+//     frame's symbols on that subcarrier are then swept in one pass. A
 //     preparation is a pure function of the subcarrier's channel (the
 //     cache-hit contract: a hit changes where prepared state comes
 //     from, never what it contains), and a detection is a pure function
-//     of (prepared state, observation), so reordering detections across
-//     frames cannot change any of them.
+//     of (prepared state, observation), so this order cannot change any
+//     decision.
 //
 // Only the complexity accounting (pool counters, detector stats) is
 // attributed batch-wide rather than per frame.
-func (l *Link) TransmitReceiveBatchCSI(srcs []*rng.Source, frames []*Frame, hsTrue, hsDet []*cmplxmat.Matrix, det core.Detector, noiseVar float64) ([]*Result, error) {
+func (l *Link) TransmitReceiveBatchCSI(srcs []*rng.Source, frames []*Frame, hsTrue, hsDet [][]*cmplxmat.Matrix, det core.Detector, noiseVar float64) ([]*Result, []error) {
 	cfg := l.cfg
 	b := len(frames)
-	if b == 0 || len(srcs) != b {
-		return nil, fmt.Errorf("phy: batch of %d frames with %d sources", b, len(srcs))
-	}
-	hs := hsTrue
-	if len(hs) != ofdm.NumData || len(hsDet) != ofdm.NumData {
-		return nil, fmt.Errorf("phy: %d/%d subcarrier channels, want %d", len(hs), len(hsDet), ofdm.NumData)
-	}
-	nc := len(frames[0].Payloads)
-	na := hs[0].Rows
-	if hs[0].Cols != nc {
-		return nil, fmt.Errorf("phy: channel has %d streams, frame has %d", hs[0].Cols, nc)
-	}
-	for _, f := range frames {
-		if len(f.Payloads) != nc {
-			return nil, fmt.Errorf("phy: mixed stream counts in batch (%d vs %d)", len(f.Payloads), nc)
-		}
+	results, errs := l.sizeBatch(b)
+	if len(srcs) != b || len(hsTrue) != b || len(hsDet) != b {
+		return results, failAll(errs, fmt.Errorf("phy: batch of %d frames with %d sources and %d/%d channel sets", b, len(srcs), len(hsTrue), len(hsDet)))
 	}
 	var soft core.SoftDetector
 	if cfg.SoftDecoding {
 		sd, ok := det.(core.SoftDetector)
 		if !ok {
-			return nil, fmt.Errorf("phy: soft decoding requires a SoftDetector, %s is not one", det.Name())
+			return results, failAll(errs, fmt.Errorf("phy: soft decoding requires a SoftDetector, %s is not one", det.Name()))
 		}
 		if noiseVar <= 0 {
-			return nil, fmt.Errorf("phy: soft decoding needs a positive noise variance")
+			return results, failAll(errs, fmt.Errorf("phy: soft decoding needs a positive noise variance"))
 		}
 		soft = sd
 	}
-	for s := 0; s < ofdm.NumData; s++ {
-		if hsDet[s].Rows != na || hsDet[s].Cols != nc {
-			return nil, fmt.Errorf("phy: CSI shape mismatch at subcarrier %d", s)
+	// The first well-formed frame fixes the batch geometry.
+	na, nc := 0, 0
+	for f := range frames {
+		errs[f] = checkShape(frames[f], hsTrue[f], hsDet[f], na, nc)
+		if errs[f] == nil && nc == 0 {
+			na, nc = hsTrue[f][0].Rows, len(frames[f].Payloads)
 		}
+	}
+	if nc == 0 {
+		return results, errs
 	}
 	T := cfg.NumSymbols
 	detIdx, detLLR, yb := l.sizeReceive(b*T, nc, na, soft != nil)
-	results := make([]*Result, b)
-	// Transmit frame-by-frame in the single-frame subcarrier-major
+	// Transmit frame by frame in the single-frame subcarrier-major
 	// order: frame f's symbol t on subcarrier s lands at SoA row f·T+t.
-	for f := 0; f < b; f++ {
+	for f := range frames {
+		if errs[f] != nil {
+			continue
+		}
 		for s := 0; s < ofdm.NumData; s++ {
 			for t := 0; t < T; t++ {
 				at := ((f*T+t)*ofdm.NumData + s) * na
-				channel.Transmit(yb[at:at+na], srcs[f], hs[s], frames[f].X[t][s], noiseVar)
+				channel.Transmit(yb[at:at+na], srcs[f], hsTrue[f][s], frames[f].X[t][s], noiseVar)
 			}
 		}
 		results[f] = &Result{StreamOK: make([]bool, nc)}
 	}
-	// Batched detection: one preparation per subcarrier per batch, then
-	// a single sweep over every frame's symbols on that subcarrier.
 	for s := 0; s < ofdm.NumData; s++ {
-		if err := l.prepareDetector(det, s, hsDet[s]); err != nil {
-			return nil, fmt.Errorf("phy: prepare subcarrier %d: %w", s, err)
-		}
-		for f := 0; f < b; f++ {
-			fIdx := detIdx[f*T : (f+1)*T]
-			var fLLR [][][]float64
-			if soft != nil {
-				fLLR = detLLR[f*T : (f+1)*T]
+		var prepared *cmplxmat.Matrix
+		var prepErr error
+		for f := range frames {
+			if errs[f] != nil {
+				continue
 			}
-			for t := 0; t < T; t++ {
-				at := ((f*T+t)*ofdm.NumData + s) * na
-				if err := l.detectOne(det, soft, frames[f], results[f], fIdx, fLLR, yb[at:at+na], t, s, nc, noiseVar); err != nil {
-					return nil, err
+			if h := hsDet[f][s]; h != prepared {
+				prepared, prepErr = h, l.prepareDetector(det, s, h)
+				if prepErr != nil {
+					prepErr = fmt.Errorf("phy: prepare subcarrier %d: %w", s, prepErr)
 				}
+			}
+			if prepErr != nil {
+				errs[f] = prepErr
+				continue
+			}
+			fIdx, fLLR := frameRows(detIdx, detLLR, f, T)
+			for t := 0; t < T && errs[f] == nil; t++ {
+				at := ((f*T+t)*ofdm.NumData + s) * na
+				errs[f] = l.detectOne(det, soft, frames[f], results[f], fIdx, fLLR, yb[at:at+na], t, s, nc, noiseVar)
 			}
 		}
 	}
 	// Per-frame, per-stream decoding, in frame order.
-	for f := 0; f < b; f++ {
-		fIdx := detIdx[f*T : (f+1)*T]
-		var fLLR [][][]float64
-		if soft != nil {
-			fLLR = detLLR[f*T : (f+1)*T]
-		}
-		for k := 0; k < nc; k++ {
+	for f := range frames {
+		fIdx, fLLR := frameRows(detIdx, detLLR, f, T)
+		for k := 0; k < nc && errs[f] == nil; k++ {
 			var ok bool
 			var metric float64
-			var err error
 			if soft != nil {
-				ok, metric, err = l.decodeStreamSoft(frames[f], fLLR, k, byte(0x5d+k))
+				ok, metric, errs[f] = l.decodeStreamSoft(frames[f], fLLR, k, byte(0x5d+k))
 			} else {
-				ok, metric, err = l.decodeStream(frames[f], fIdx, k, byte(0x5d+k))
+				ok, metric, errs[f] = l.decodeStream(frames[f], fIdx, k, byte(0x5d+k))
 			}
-			if err != nil {
-				return nil, err
+			if errs[f] != nil {
+				break
 			}
 			results[f].StreamOK[k] = ok
 			if cfg.Recorder != nil {
 				cfg.Recorder.RecordDecode(obs.DecodeSample{Stream: k, PathMetric: metric, OK: ok})
 			}
 		}
+		if errs[f] != nil {
+			results[f] = nil
+		}
 	}
-	return results, nil
+	return results, errs
+}
+
+// checkShape validates one frame of a batch: 48 channel matrices each
+// for propagation and detection, all na×nc with nc the frame's stream
+// count. A zero nc means the batch geometry is not fixed yet, so the
+// frame's own first channel defines it.
+func checkShape(f *Frame, hsTrue, hsDet []*cmplxmat.Matrix, na, nc int) error {
+	if len(hsTrue) != ofdm.NumData || len(hsDet) != ofdm.NumData {
+		return fmt.Errorf("phy: %d/%d subcarrier channels, want %d", len(hsTrue), len(hsDet), ofdm.NumData)
+	}
+	if hsTrue[0].Cols != len(f.Payloads) || len(f.Payloads) == 0 {
+		return fmt.Errorf("phy: channel has %d streams, frame has %d", hsTrue[0].Cols, len(f.Payloads))
+	}
+	if nc == 0 {
+		na, nc = hsTrue[0].Rows, len(f.Payloads)
+	} else if len(f.Payloads) != nc {
+		return fmt.Errorf("phy: mixed stream counts in batch (%d vs %d)", len(f.Payloads), nc)
+	}
+	for s := 0; s < ofdm.NumData; s++ {
+		if hsTrue[s].Rows != na || hsTrue[s].Cols != nc || hsDet[s].Rows != na || hsDet[s].Cols != nc {
+			return fmt.Errorf("phy: CSI shape mismatch at subcarrier %d", s)
+		}
+	}
+	return nil
+}
+
+// failAll sets every frame's error to err and returns errs.
+func failAll(errs []error, err error) []error {
+	for f := range errs {
+		errs[f] = err
+	}
+	return errs
+}
+
+// frameRows returns frame f's T symbol rows of the batch's detector
+// output buffers (detLLR is nil on the hard path).
+func frameRows(detIdx [][][]int, detLLR [][][]float64, f, T int) ([][][]int, [][][]float64) {
+	if detLLR != nil {
+		detLLR = detLLR[f*T : (f+1)*T]
+	}
+	return detIdx[f*T : (f+1)*T], detLLR
 }
 
 // prepareDetector prepares det for subcarrier s's channel, through the
@@ -592,6 +553,20 @@ func (l *Link) sizeReceive(rows, nc, na int, soft bool) (detIdx [][][]int, detLL
 	return detIdx, detLLR, r.yb[:n]
 }
 
+// sizeBatch returns cleared per-frame result and error slots for a
+// batch of b frames, sliced from link scratch.
+func (l *Link) sizeBatch(b int) ([]*Result, []error) {
+	r := &l.rx
+	if cap(r.results) < b {
+		r.results = make([]*Result, b)
+		r.errs = make([]error, b)
+	}
+	results, errs := r.results[:b], r.errs[:b]
+	clear(results)
+	clear(errs)
+	return results, errs
+}
+
 // depuncture re-inserts erasures into one stream's coded LLRs using
 // the link's reusable mother-code buffer. For rate 1/2 the mother
 // length equals the coded length, so one motherLen-sized buffer serves
@@ -649,17 +624,7 @@ func (l *Link) decodeStreamSoft(f *Frame, detLLR [][][]float64, k int, scrambler
 		return false, 0, err
 	}
 	metric /= float64(len(llrs))
-	fec.Scramble(dec, scramblerSeed)
-	payload, ok := fec.CheckCRC(dec)
-	if !ok || len(payload) != len(f.Payloads[k]) {
-		return false, metric, nil
-	}
-	for i, b := range f.Payloads[k] {
-		if payload[i] != b {
-			return false, metric, nil
-		}
-	}
-	return true, metric, nil
+	return payloadOK(dec, f.Payloads[k], scramblerSeed), metric, nil
 }
 
 // decodeStream demaps, deinterleaves, depunctures, Viterbi-decodes and
@@ -704,21 +669,15 @@ func (l *Link) decodeStream(f *Frame, detIdx [][][]int, k int, scramblerSeed byt
 		return false, 0, err
 	}
 	metric /= float64(len(vals))
+	return payloadOK(dec, f.Payloads[k], scramblerSeed), metric, nil
+}
+
+// payloadOK descrambles one stream's decoded bits in place and reports
+// whether they carry a valid CRC over exactly the transmitted payload.
+// A CRC pass with a wrong payload would be a miss; checking against the
+// transmitted bits keeps the simulator from overcounting goodput.
+func payloadOK(dec, want []byte, scramblerSeed byte) bool {
 	fec.Scramble(dec, scramblerSeed)
 	payload, ok := fec.CheckCRC(dec)
-	if !ok {
-		return false, metric, nil
-	}
-	// A CRC pass with a wrong payload would be a miss; verify against
-	// the transmitted bits so the simulator never overcounts goodput.
-	want := f.Payloads[k]
-	if len(payload) != len(want) {
-		return false, metric, nil
-	}
-	for i := range want {
-		if payload[i] != want[i] {
-			return false, metric, nil
-		}
-	}
-	return true, metric, nil
+	return ok && bytes.Equal(payload, want)
 }

@@ -270,11 +270,12 @@ func TestFrameFailsAtAbsurdNoise(t *testing.T) {
 }
 
 // TestBatchedDetectZeroAllocs extends the detection-hot-path
-// allocation contract (core's TestDetectZeroAllocs) to the batched
-// structure-of-arrays sweep the link runs when a preparation pool is
-// attached: one full OFDM symbol — pool prepare on every subcarrier
-// switch plus hard detection and pre-FEC accounting straight from the
-// flat receive buffer — allocates nothing in steady state.
+// allocation contract (core's TestDetectZeroAllocs) to the link's
+// structure-of-arrays detection sweep with a preparation pool
+// attached: one OFDM symbol across all 48 subcarriers — a pool prepare
+// (a cache hit) per subcarrier plus hard detection and pre-FEC
+// accounting straight from the flat receive buffer — allocates nothing
+// in steady state.
 func TestBatchedDetectZeroAllocs(t *testing.T) {
 	cfg := Config{Cons: constellation.QAM16, Rate: fec.Rate12, NumSymbols: 1}
 	link, err := NewLink(cfg)

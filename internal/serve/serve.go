@@ -26,7 +26,7 @@
 // Detection itself stays deterministic: a group's channels are drawn
 // from the substream (Seed+1, group), a frame's randomness from the
 // substream (Seed, frameKey(group, seq)), and ProcessBatch's per-frame
-// outcomes are byte-identical to the single-frame path — so the
+// outcomes are byte-identical at every batch size, one included — so the
 // outcome of a group's n-th frame at a given tier is a pure function
 // of the configuration, independent of shard scheduling, batch
 // composition, interleaving with other groups, or wall-clock time.

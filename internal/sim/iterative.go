@@ -25,16 +25,8 @@ func IterativeReceiver(opts Options) (*Table, error) {
 		Columns: []string{"SNR(dB)", "hard FER", "soft FER", "turbo FER", "avg turbo iters"},
 	}
 	cfg := phy.Config{Cons: constellation.QAM16, Rate: fec.Rate12, NumSymbols: opts.NumSymbols}
-	hardLink, err := phy.NewLink(cfg)
-	if err != nil {
-		return nil, err
-	}
 	softCfg := cfg
 	softCfg.SoftDecoding = true
-	softLink, err := phy.NewLink(softCfg)
-	if err != nil {
-		return nil, err
-	}
 	snrs := []units.DB{10, 11, 12, 13, 14}
 	// The turbo loop re-detects whole frames, so cap the per-point
 	// frame count to keep the experiment's runtime proportionate.
@@ -45,6 +37,16 @@ func IterativeReceiver(opts Options) (*Table, error) {
 	rows := make([][]string, len(snrs))
 	outer, _ := opts.splitWorkers(len(snrs))
 	if err := parallelFor(outer, len(snrs), func(i int) error {
+		// A phy.Link owns receive/decode scratch, so every SNR point
+		// runs on links of its own.
+		hardLink, err := phy.NewLink(cfg)
+		if err != nil {
+			return err
+		}
+		softLink, err := phy.NewLink(softCfg)
+		if err != nil {
+			return err
+		}
 		snr := snrs[i]
 		noise := float64(channel.NoiseVar(snr))
 		base := seedFor(opts, fmt.Sprintf("iterative/%g", float64(snr)))

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -166,5 +167,26 @@ func TestFig12GeospherePerClientFlat(t *testing.T) {
 	}
 	if perClient[len(perClient)-1] < 0.5*perClient[0] {
 		t.Fatalf("Geosphere per-client throughput collapsed: %v", perClient)
+	}
+}
+
+// TestIterativeReceiverWorkerInvariant pins the Options.Workers
+// contract for the iterative-receiver experiment, whose SNR points run
+// in parallel: the table must not depend on the worker budget.
+func TestIterativeReceiverWorkerInvariant(t *testing.T) {
+	opts := QuickOptions()
+	opts.Frames, opts.NumSymbols = 1, 2
+	opts.Workers = 1
+	ref, err := IterativeReceiver(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 5
+	got, err := IterativeReceiver(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, ref.Rows) {
+		t.Fatalf("workers=5 rows %v, want %v", got.Rows, ref.Rows)
 	}
 }
